@@ -3,35 +3,31 @@
 //! **Part 1 — append-path throughput.** N threads race
 //! `LogManager::append` with realistic `Op` records (encode cost
 //! included) over a disk model that charges a fixed write latency per
-//! record. Serial tees to the backend *inside* its one append mutex,
-//! so every append pays the device; group stages the encoded bytes and
-//! returns once the LSN is published — the device is paid later, in
-//! LSN order, by the drain (timed separately as `drain_ns`). The
-//! speedup column is therefore the lock-split payoff itself: backend
-//! write latency off the append critical path (and, on multi-core
-//! hosts, encode running in parallel on top). The acceptance bar is
-//! ≥2× the single-mutex rate at 4+ threads.
+//! record. An append that is next in line and finds the backend idle
+//! writes through and pays the device itself; every other append
+//! stages its encoded bytes and returns once its LSN is published, and
+//! the device is paid later, in LSN order, by the drain (timed
+//! separately as `drain_ns`).
 //!
 //! **Part 2 — end-to-end commit rate.** Closed-loop clients run real
 //! transactions against a database whose WAL flushes into a synthetic
-//! slow disk. Serial mode pays the disk per committing transaction;
-//! group commit elects a leader whose single flush satisfies every
-//! parked committer. The fsync economy is measured directly off the
-//! manager's flush counter: `fsyncs_per_commit` must come in ≪ 1
-//! under concurrent committers.
+//! slow disk. Group commit elects a leader whose single flush
+//! satisfies every parked committer. The fsync economy is measured
+//! directly off the manager's flush counter: `fsyncs_per_commit` must
+//! come in ≪ 1 under concurrent committers.
 //!
 //! Both disk models *yield* the CPU while their latency elapses —
 //! device time is wall-clock, not compute, and a busy-spin would
 //! serialize the whole experiment on a single-core host, measuring the
 //! spin instead of the pipeline.
 //!
-//! Writes `BENCH_wal.json` at the repository root and merges the
-//! commit-rate series into `BENCH_propagation.json` (series
-//! `wal_commit_rate`), plus CSVs under `target/experiments/`.
+//! Writes `target/experiments/wal_append.json` plus CSVs beside it.
+//! The checked-in `BENCH_wal.json` is an earlier serial-vs-group run,
+//! kept as history.
 
-use morph_bench::{banner, quick, scale, split_client_cfg, Csv};
+use morph_bench::{banner, exp_dir, quick, scale, split_client_cfg, Csv};
 use morph_common::{DbResult, Key, TableId, TxnId, Value};
-use morph_wal::{Backend, GroupCommitConfig, LogManager, LogOp, LogRecord, WalMode};
+use morph_wal::{Backend, GroupCommitConfig, LogManager, LogOp, LogRecord};
 use morph_workload::{db_with_wal, setup_dummy, setup_split_source, WorkloadRunner};
 use std::io::Write;
 use std::sync::{Arc, Barrier};
@@ -96,22 +92,14 @@ fn bench_record(i: u64) -> LogRecord {
     }
 }
 
-fn mode_tag(mode: WalMode) -> &'static str {
-    match mode {
-        WalMode::Serial => "serial",
-        WalMode::Group => "group",
-    }
-}
-
 struct AppendPoint {
-    mode: WalMode,
     threads: usize,
     appends: u64,
     ns: u128,
     per_sec: f64,
-    /// Time the post-measurement drain+flush took (group mode pays the
-    /// per-record device latency here instead of on the append path;
-    /// serial has already paid it and this is ~0).
+    /// Time the post-measurement drain+flush took: the per-record
+    /// device latency of every staged append is paid here instead of
+    /// on the append path.
     drain_ns: u128,
 }
 
@@ -120,7 +108,6 @@ struct AppendPoint {
 /// (its LSN assigned and published); the ordered drain to the device
 /// is timed separately — that is the deferral the lock-split buys.
 fn append_point(
-    mode: WalMode,
     threads: usize,
     per_thread: u64,
     write_latency: Duration,
@@ -128,14 +115,10 @@ fn append_point(
 ) -> AppendPoint {
     let mut best: Option<(u128, u128)> = None;
     for _ in 0..reps.max(1) {
-        let log = Arc::new(LogManager::with_backend_mode(
-            Box::new(PerWriteDisk {
-                write_latency,
-                bytes: 0,
-            }),
-            mode,
-            GroupCommitConfig::default(),
-        ));
+        let log = Arc::new(LogManager::with_backend(Box::new(PerWriteDisk {
+            write_latency,
+            bytes: 0,
+        })));
         let barrier = Arc::new(Barrier::new(threads + 1));
         let mut handles = Vec::new();
         for t in 0..threads as u64 {
@@ -164,7 +147,6 @@ fn append_point(
     let (ns, drain_ns) = best.expect("reps >= 1");
     let appends = threads as u64 * per_thread;
     AppendPoint {
-        mode,
         threads,
         appends,
         ns,
@@ -174,7 +156,6 @@ fn append_point(
 }
 
 struct CommitPoint {
-    mode: WalMode,
     clients: usize,
     commits: u64,
     commits_per_sec: f64,
@@ -183,15 +164,15 @@ struct CommitPoint {
 }
 
 /// One end-to-end point: closed-loop clients over a slow-disk WAL.
-fn commit_point(mode: WalMode, clients: usize, fsync_latency: Duration) -> CommitPoint {
+fn commit_point(clients: usize, fsync_latency: Duration) -> CommitPoint {
     let s = scale();
     // The leader holds the door open for up to one fsync-time so the
-    // whole closed loop can board one flush; serial mode ignores this.
+    // whole closed loop can board one flush.
     let group = GroupCommitConfig {
         max_batch: clients,
         max_delay: fsync_latency,
     };
-    let db = db_with_wal(Box::new(SlowDisk { fsync_latency }), mode, group);
+    let db = db_with_wal(Box::new(SlowDisk { fsync_latency }), group);
     setup_dummy(&db, s.dummy_rows).expect("dummy");
     setup_split_source(&db, s.split_rows, s.split_values).expect("split source");
     // Unpaced clients: the commit rate should be bound by the disk
@@ -206,7 +187,6 @@ fn commit_point(mode: WalMode, clients: usize, fsync_latency: Duration) -> Commi
     runner.stop();
     let commits = w.committed as u64;
     CommitPoint {
-        mode,
         clients,
         commits,
         commits_per_sec: w.throughput,
@@ -230,128 +210,64 @@ fn main() {
     let fsync_latency = Duration::from_micros(100);
 
     // ---- part 1: append-path throughput ----
-    let mut append_csv = Csv::create(
-        "wal_append",
-        "mode,threads,appends,ns,appends_per_sec,drain_ns,speedup_vs_serial",
-    );
+    let mut append_csv = Csv::create("wal_append", "threads,appends,ns,appends_per_sec,drain_ns");
     println!(
-        "\n{:>8} {:>8} {:>10} {:>14} {:>14} {:>14} {:>10}",
-        "mode", "threads", "appends", "ns", "appends/s", "drain_ns", "vs_serial"
+        "\n{:>8} {:>10} {:>14} {:>14} {:>14}",
+        "threads", "appends", "ns", "appends/s", "drain_ns"
     );
     let mut entries = Vec::new();
-    let mut serial_rate: std::collections::HashMap<usize, f64> = Default::default();
-    for mode in [WalMode::Serial, WalMode::Group] {
-        for threads in [1usize, 2, 4, 8] {
-            let p = append_point(mode, threads, per_thread, write_latency, reps);
-            if mode == WalMode::Serial {
-                serial_rate.insert(threads, p.per_sec);
-            }
-            let speedup = p.per_sec / serial_rate[&threads];
-            println!(
-                "{:>8} {:>8} {:>10} {:>14} {:>14.0} {:>14} {:>10.2}",
-                mode_tag(p.mode),
-                p.threads,
-                p.appends,
-                p.ns,
-                p.per_sec,
-                p.drain_ns,
-                speedup
-            );
-            append_csv.row(&format!(
-                "{},{},{},{},{:.0},{},{:.2}",
-                mode_tag(p.mode),
-                p.threads,
-                p.appends,
-                p.ns,
-                p.per_sec,
-                p.drain_ns,
-                speedup
-            ));
-            entries.push(format!(
-                "    {{ \"series\": \"append\", \"mode\": \"{}\", \"threads\": {}, \"appends\": {}, \"ns\": {}, \"appends_per_sec\": {:.0}, \"drain_ns\": {}, \"speedup_vs_serial\": {:.2} }}",
-                mode_tag(p.mode), p.threads, p.appends, p.ns, p.per_sec, p.drain_ns, speedup
-            ));
-        }
+    for threads in [1usize, 2, 4, 8] {
+        let p = append_point(threads, per_thread, write_latency, reps);
+        println!(
+            "{:>8} {:>10} {:>14} {:>14.0} {:>14}",
+            p.threads, p.appends, p.ns, p.per_sec, p.drain_ns
+        );
+        append_csv.row(&format!(
+            "{},{},{},{:.0},{}",
+            p.threads, p.appends, p.ns, p.per_sec, p.drain_ns
+        ));
+        entries.push(format!(
+            "    {{ \"series\": \"append\", \"threads\": {}, \"appends\": {}, \"ns\": {}, \"appends_per_sec\": {:.0}, \"drain_ns\": {} }}",
+            p.threads, p.appends, p.ns, p.per_sec, p.drain_ns
+        ));
     }
 
     // ---- part 2: end-to-end commit rate ----
     let mut commit_csv = Csv::create(
         "wal_commit_rate",
-        "mode,clients,commits,commits_per_sec,fsyncs,fsyncs_per_commit",
+        "clients,commits,commits_per_sec,fsyncs,fsyncs_per_commit",
     );
     println!(
-        "\n{:>8} {:>8} {:>10} {:>14} {:>10} {:>14}",
-        "mode", "clients", "commits", "commits/s", "fsyncs", "fsync/commit"
+        "\n{:>8} {:>10} {:>14} {:>10} {:>14}",
+        "clients", "commits", "commits/s", "fsyncs", "fsync/commit"
     );
-    let mut commit_entries = Vec::new();
-    for mode in [WalMode::Serial, WalMode::Group] {
-        for clients in [1usize, 2, 4, 8] {
-            let p = commit_point(mode, clients, fsync_latency);
-            println!(
-                "{:>8} {:>8} {:>10} {:>14.0} {:>10} {:>14.3}",
-                mode_tag(p.mode),
-                p.clients,
-                p.commits,
-                p.commits_per_sec,
-                p.fsyncs,
-                p.fsyncs_per_commit
-            );
-            commit_csv.row(&format!(
-                "{},{},{},{:.0},{},{:.3}",
-                mode_tag(p.mode),
-                p.clients,
-                p.commits,
-                p.commits_per_sec,
-                p.fsyncs,
-                p.fsyncs_per_commit
-            ));
-            commit_entries.push(format!(
-                "    {{ \"series\": \"wal_commit_rate\", \"mode\": \"{}\", \"clients\": {}, \"commits\": {}, \"commits_per_sec\": {:.0}, \"fsyncs\": {}, \"fsyncs_per_commit\": {:.3} }}",
-                mode_tag(p.mode), p.clients, p.commits, p.commits_per_sec, p.fsyncs, p.fsyncs_per_commit
-            ));
-        }
+    for clients in [1usize, 2, 4, 8] {
+        let p = commit_point(clients, fsync_latency);
+        println!(
+            "{:>8} {:>10} {:>14.0} {:>10} {:>14.3}",
+            p.clients, p.commits, p.commits_per_sec, p.fsyncs, p.fsyncs_per_commit
+        );
+        commit_csv.row(&format!(
+            "{},{},{:.0},{},{:.3}",
+            p.clients, p.commits, p.commits_per_sec, p.fsyncs, p.fsyncs_per_commit
+        ));
+        entries.push(format!(
+            "    {{ \"series\": \"wal_commit_rate\", \"clients\": {}, \"commits\": {}, \"commits_per_sec\": {:.0}, \"fsyncs\": {}, \"fsyncs_per_commit\": {:.3} }}",
+            p.clients, p.commits, p.commits_per_sec, p.fsyncs, p.fsyncs_per_commit
+        ));
     }
 
-    // ---- BENCH_wal.json ----
-    entries.extend(commit_entries.iter().cloned());
     let json = format!(
         "{{\n  \"bench\": \"wal_append\",\n  \"write_latency_us\": {},\n  \"fsync_latency_us\": {},\n  \"series\": [\n{}\n  ]\n}}\n",
         write_latency.as_micros(),
         fsync_latency.as_micros(),
         entries.join(",\n")
     );
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let wal_path = root.join("BENCH_wal.json");
-    let mut f = std::fs::File::create(&wal_path).expect("bench json");
+    let path = exp_dir().join("wal_append.json");
+    let mut f = std::fs::File::create(&path).expect("bench json");
     f.write_all(json.as_bytes()).expect("bench json write");
     println!("\n{json}");
-    println!("wrote {}", wal_path.display());
-
-    // ---- merge the commit-rate series into BENCH_propagation.json ----
-    let prop_path = root.join("BENCH_propagation.json");
-    if let Ok(text) = std::fs::read_to_string(&prop_path) {
-        let mut lines: Vec<String> = text
-            .lines()
-            .filter(|l| !l.contains("\"series\": \"wal_commit_rate\""))
-            .map(str::to_owned)
-            .collect();
-        if let Some(close) = lines.iter().rposition(|l| l.trim() == "]") {
-            if close > 0 {
-                let prev = lines[close - 1].trim_end().trim_end_matches(',').to_owned();
-                lines[close - 1] = format!("{prev},");
-            }
-            let mut block: Vec<String> = commit_entries;
-            let n = block.len();
-            for (i, line) in block.iter_mut().enumerate() {
-                if i + 1 < n {
-                    line.push(',');
-                }
-            }
-            lines.splice(close..close, block);
-            std::fs::write(&prop_path, lines.join("\n") + "\n").expect("merge propagation json");
-            println!("merged wal_commit_rate series into {}", prop_path.display());
-        }
-    }
+    println!("wrote {}", path.display());
     println!(
         "CSVs written to {} and {}",
         append_csv.path.display(),

@@ -30,7 +30,7 @@ use crate::operator::{source_tables, TransformOperator};
 use crate::propagate::Propagator;
 use crate::report::SyncStats;
 use crate::spec::{SyncStrategy, TransformOptions};
-use morph_common::{DbError, DbResult, Key, TableId, TxnId, Value};
+use morph_common::{DbError, DbResult, Key, Lsn, TableId, TxnId, Value};
 use morph_engine::{Database, OpInterceptor, PlannedOp};
 use morph_storage::Table;
 use morph_txn::LockOrigin;
@@ -281,14 +281,26 @@ pub(crate) fn sorted_sources(
     Ok(sources)
 }
 
+/// Grandfather every active transaction that holds source locks:
+/// mirror its locks onto the targets under its proxy owner. `cursor` is
+/// the propagator's next LSN after the final drain. A transaction whose
+/// end record lies below it is already ended as far as the targets are
+/// concerned — a committer parked on the durability wait, still
+/// registered and still holding its source locks — and is left out:
+/// its effects are applied, it can issue no further operation, and the
+/// post-sync drain would never see its end record again to retire it.
 pub(crate) fn transfer_locks(
     db: &Database,
     oper: &dyn TransformOperator,
     sources: &[Arc<Table>],
+    cursor: Lsn,
 ) -> (HashSet<TxnId>, usize) {
     let mut old = HashSet::new();
     let mut transferred = 0usize;
     for txn in db.active_txns() {
+        if db.txn_end_lsn(txn).is_some_and(|end| end < cursor) {
+            continue;
+        }
         for (si, src) in sources.iter().enumerate() {
             let held = db.locks().held_keys_in(txn, src.id());
             if held.is_empty() {
@@ -371,7 +383,7 @@ fn non_blocking(
     db.crash_point(p_drained)?;
 
     // Transfer locks of still-active transactions (§3.4/§4.3).
-    let (old, locks_transferred) = transfer_locks(db, oper, &sources);
+    let (old, locks_transferred) = transfer_locks(db, oper, &sources, prop.cursor_lsn());
 
     // Strategy-specific treatment of the old transactions.
     let interceptor_token = match options.strategy {

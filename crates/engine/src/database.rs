@@ -337,11 +337,14 @@ impl Database {
             // seal spans one append and one map insert only — the
             // durability wait below stays outside it.
             let _seal = self.mvcc.seal.lock();
-            let lsn = self.log.append(LogRecord::Commit { txn });
+            let lsn = self
+                .log
+                .append_with(LogRecord::Commit { txn }, |lsn| cell.set_end_lsn(lsn));
             self.mvcc.commit.record_commit(txn, lsn);
             lsn
         } else {
-            self.log.append(LogRecord::Commit { txn })
+            self.log
+                .append_with(LogRecord::Commit { txn }, |lsn| cell.set_end_lsn(lsn))
         };
         if wrote {
             self.log.wait_durable(commit_lsn)?;
@@ -385,7 +388,9 @@ impl Database {
                 }
             }
         }
-        let end_lsn = self.log.append(LogRecord::AbortEnd { txn });
+        let end_lsn = self
+            .log
+            .append_with(LogRecord::AbortEnd { txn }, |lsn| cell.set_end_lsn(lsn));
         if self.mvcc_enabled() {
             // No seal needed: the transaction was invisible while
             // active (no outcome entry, ops above the floor) and stays
@@ -465,6 +470,15 @@ impl Database {
     /// Ids of all active transactions.
     pub fn active_txns(&self) -> Vec<TxnId> {
         self.registry.active_ids()
+    }
+
+    /// LSN of an active transaction's Commit or AbortEnd record, once
+    /// appended (`None` if it has not ended or is no longer active).
+    /// The stamp is visible before the record can be read from the
+    /// log, so a propagator whose cursor has passed this LSN has
+    /// applied everything the transaction did.
+    pub fn txn_end_lsn(&self, txn: TxnId) -> Option<Lsn> {
+        self.registry.get(txn).ok()?.end_lsn()
     }
 
     /// Doom a transaction: its next operation (and commit) fail with

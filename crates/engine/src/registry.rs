@@ -1,8 +1,9 @@
 //! The active-transaction registry.
 //!
 //! Tracks, for every live transaction: its first LSN (fuzzy marks need
-//! the oldest one, §3.2), the undo chain for rollback, and the *doomed*
-//! flag set by non-blocking-abort synchronization (§3.4).
+//! the oldest one, §3.2), the LSN of its end record once appended, the
+//! undo chain for rollback, and the *doomed* flag set by
+//! non-blocking-abort synchronization (§3.4).
 //!
 //! The registry guards a critical ordering invariant: a transaction is
 //! registered (with its first LSN fixed) under the same lock that
@@ -15,7 +16,7 @@ use morph_common::{DbError, DbResult, Lsn, TxnId};
 use morph_wal::LogOp;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Mutable per-transaction state.
@@ -40,6 +41,10 @@ pub struct TxnCell {
     /// Set by non-blocking-abort synchronization: the transaction must
     /// roll back; every further operation returns `TxnDoomed`.
     pub doomed: AtomicBool,
+    /// LSN of the transaction's Commit or AbortEnd record (0 = not yet
+    /// appended). Stamped before the record is published, so a reader
+    /// that has seen the record also sees the stamp.
+    end_lsn: AtomicU64,
     /// Undo chain and other mutable state.
     pub state: Mutex<TxnState>,
 }
@@ -48,6 +53,21 @@ impl TxnCell {
     /// Whether the transaction has been doomed.
     pub fn is_doomed(&self) -> bool {
         self.doomed.load(Ordering::Acquire)
+    }
+
+    /// Record the LSN of the transaction's end record.
+    pub(crate) fn set_end_lsn(&self, lsn: Lsn) {
+        self.end_lsn.store(lsn.0, Ordering::Release);
+    }
+
+    /// LSN of the transaction's end record, if it has been appended.
+    /// An active transaction with an end LSN is committing or finishing
+    /// its rollback: it is parked on the durability wait.
+    pub(crate) fn end_lsn(&self) -> Option<Lsn> {
+        match self.end_lsn.load(Ordering::Acquire) {
+            0 => None,
+            lsn => Some(Lsn(lsn)),
+        }
     }
 }
 
@@ -99,6 +119,7 @@ impl TxnRegistry {
             id,
             first_lsn,
             doomed: AtomicBool::new(false),
+            end_lsn: AtomicU64::new(0),
             state: Mutex::new(TxnState::default()),
         });
         map.insert(id, Arc::clone(&cell));

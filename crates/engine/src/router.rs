@@ -22,7 +22,7 @@ use crate::counters::CountersSnapshot;
 use crate::database::Database;
 use morph_common::{DbError, DbResult, Key, Schema, Value};
 use morph_txn::LockManagerConfig;
-use morph_wal::{LogManager, WalMode};
+use morph_wal::LogManager;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -80,18 +80,13 @@ pub struct ShardedDatabase {
 }
 
 impl ShardedDatabase {
-    /// N shards, each with its own group-commit WAL (`WalMode::Group`)
-    /// and default lock configuration.
+    /// N shards, each with its own in-memory WAL and default lock
+    /// configuration.
     pub fn new(shards: usize) -> ShardedDatabase {
-        Self::with_wal_mode(shards, WalMode::Group)
-    }
-
-    /// N shards with a chosen per-shard WAL mode.
-    pub fn with_wal_mode(shards: usize, mode: WalMode) -> ShardedDatabase {
         let shards = (0..shards.max(1))
             .map(|_| {
                 Arc::new(Database::with_log(
-                    Arc::new(LogManager::new_in(mode)),
+                    Arc::new(LogManager::new()),
                     LockManagerConfig::default(),
                 ))
             })

@@ -237,7 +237,7 @@ impl Config {
             ],
             panic_exempt: vec!["crates/bench/src".into()],
             wal_write_fns: vec![
-                ("crates/wal/src/manager.rs".into(), "append_serial".into()),
+                ("crates/wal/src/manager.rs".into(), "append_with".into()),
                 ("crates/wal/src/manager.rs".into(), "drain_staged".into()),
             ],
             wal_backend_impls: vec![

@@ -1,10 +1,10 @@
 //! Pass 5: WAL byte order. Recovery correctness rests on "byte order
 //! ≡ LSN order" (DESIGN.md §11): bytes reach the backend sink only
-//! from the two approved WAL manager functions — `append_serial`
-//! (serial mode, under the order lock) and `drain_staged` (group
-//! mode, under the backend lock in LSN order). Any other `sink.append`
-//! or raw `write_all` in the workspace bypasses that ordering and is
-//! flagged. Files that *implement* the `Backend` trait are exempt —
+//! from the two approved WAL manager functions, both under the
+//! backend lock — `append_with` (a write-through append that is next
+//! in line) and `drain_staged` (staged bytes, in LSN order). Any other
+//! `sink.append` or raw `write_all` in the workspace bypasses that
+//! ordering and is flagged. Files that *implement* the `Backend` trait are exempt —
 //! they are below the ordering boundary, not callers of it.
 
 use super::chain_ending_at;

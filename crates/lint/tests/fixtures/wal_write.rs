@@ -2,7 +2,7 @@
 //! out-of-band backend writes.
 
 impl Log {
-    fn append_serial(&mut self, bytes: &[u8]) {
+    fn append_with(&mut self, bytes: &[u8]) {
         self.sink.append(bytes);
     }
 

@@ -44,7 +44,7 @@ use morph_engine::{recover_into, CrashHook, Database};
 use morph_storage::row::Presence;
 use morph_storage::ConsistencyFlag;
 use morph_txn::LockManagerConfig;
-use morph_wal::{FaultBackend, FaultConfig, FaultHandle, GroupCommitConfig, LogManager, WalMode};
+use morph_wal::{FaultBackend, FaultConfig, FaultHandle, LogManager};
 use morph_workload::{StepStats, StepWorkload};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -81,11 +81,6 @@ pub struct SimConfig {
     /// run. Keeps propagation convergent: once the budget is spent the
     /// workload quiesces and the backlog drains.
     pub inject_budget: usize,
-    /// WAL append/flush discipline for the database under test.
-    /// Defaults to `MORPH_WAL_MODE` with a [`WalMode::Serial`]
-    /// fallback — serial is the determinism pin; CI forces
-    /// `MORPH_WAL_MODE=group` to prove the matrix holds in both.
-    pub wal_mode: WalMode,
     /// Parallelism of the transformation under test. Defaults to the
     /// serial pipeline (the determinism pin). The pool kill matrix
     /// runs `apply_shards > 1`; the reference run the oracle compares
@@ -110,7 +105,6 @@ impl SimConfig {
             strategy,
             kill: None,
             inject_budget: 40,
-            wal_mode: WalMode::from_env(WalMode::Serial),
             parallel: ParallelConfig::serial(),
             mode: TransformMode::LogPropagation,
         }
@@ -127,13 +121,6 @@ impl SimConfig {
     #[must_use]
     pub fn parallel(mut self, parallel: ParallelConfig) -> SimConfig {
         self.parallel = parallel;
-        self
-    }
-
-    /// Force a WAL mode regardless of `MORPH_WAL_MODE`.
-    #[must_use]
-    pub fn wal_mode(mut self, mode: WalMode) -> SimConfig {
-        self.wal_mode = mode;
         self
     }
 
@@ -330,11 +317,7 @@ fn build(cfg: &SimConfig) -> Result<SimRun, SimFailure> {
     };
 
     let (backend, fault) = FaultBackend::new(FaultConfig::crash_only(cfg.seed));
-    let log = Arc::new(LogManager::with_backend_mode(
-        Box::new(backend),
-        cfg.wal_mode,
-        GroupCommitConfig::default(),
-    ));
+    let log = Arc::new(LogManager::with_backend(Box::new(backend)));
     let db = Arc::new(Database::with_log(log, LockManagerConfig::default()));
 
     let mut sources = Vec::new();

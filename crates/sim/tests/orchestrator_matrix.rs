@@ -25,9 +25,7 @@ use morph_orchestrator::{Migration, MigrationSpec, Orchestrator};
 use morph_sim::points::registry;
 use morph_sim::sim_options;
 use morph_txn::LockManagerConfig;
-use morph_wal::{
-    FaultBackend, FaultConfig, FaultHandle, GroupCommitConfig, LogManager, MigrationPhase, WalMode,
-};
+use morph_wal::{FaultBackend, FaultConfig, FaultHandle, LogManager, MigrationPhase};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -149,11 +147,7 @@ struct Universe {
 /// Fault-backed database with the seeded source table committed.
 fn build(seed: u64) -> Universe {
     let (backend, fault) = FaultBackend::new(FaultConfig::crash_only(seed));
-    let log = Arc::new(LogManager::with_backend_mode(
-        Box::new(backend),
-        WalMode::from_env(WalMode::Serial),
-        GroupCommitConfig::default(),
-    ));
+    let log = Arc::new(LogManager::with_backend(Box::new(backend)));
     let db = Arc::new(Database::with_log(log, LockManagerConfig::default()));
     let t = db.create_table(SOURCE, example1_schema()).unwrap();
     let sources = vec![(t.id(), SOURCE.to_owned(), example1_schema())];

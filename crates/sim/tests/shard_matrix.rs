@@ -24,7 +24,7 @@ use morph_orchestrator::{
 use morph_sim::points::registry;
 use morph_sim::sim_options;
 use morph_txn::LockManagerConfig;
-use morph_wal::{FaultBackend, FaultConfig, FaultHandle, GroupCommitConfig, LogManager, WalMode};
+use morph_wal::{FaultBackend, FaultConfig, FaultHandle, LogManager};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -131,11 +131,7 @@ fn build(seed: u64) -> RouterUniverse {
     let mut shards = Vec::with_capacity(SHARDS);
     for i in 0..SHARDS {
         let (backend, fault) = FaultBackend::new(FaultConfig::crash_only(seed + i as u64));
-        let log = Arc::new(LogManager::with_backend_mode(
-            Box::new(backend),
-            WalMode::from_env(WalMode::Serial),
-            GroupCommitConfig::default(),
-        ));
+        let log = Arc::new(LogManager::with_backend(Box::new(backend)));
         let db = Arc::new(Database::with_log(log, LockManagerConfig::default()));
         let mut sources = Vec::new();
         for name in ["r", "s"] {

@@ -29,5 +29,5 @@ pub mod record;
 pub use codec::{decode_ref, LogOpRef, LogRecordRef, ValueRef};
 pub use fault::{FaultBackend, FaultConfig, FaultHandle};
 pub use file::{decode_stream, scan_stream, Backend, FileBackend};
-pub use manager::{GroupCommitConfig, LogManager, TailCursor, WalMode};
+pub use manager::{GroupCommitConfig, LogManager, TailCursor};
 pub use record::{LogOp, LogRecord, MigrationPhase};

@@ -12,25 +12,20 @@
 //!
 //! ## The append/flush pipeline (DESIGN.md §11)
 //!
-//! The manager runs in one of two disciplines ([`WalMode`]):
-//!
-//! * **Serial** — the reference path: one mutex covers LSN
-//!   assignment, record encoding, the backend tee, and publication.
-//!   Byte order in the backend trivially equals LSN order, and every
-//!   [`flush`](LogManager::flush) maps to exactly one backend flush.
-//!   The deterministic crash simulator runs this mode.
-//! * **Group** — the scalable path. An append *reserves* its LSN with
-//!   one atomic increment, encodes the record outside any lock, fills
-//!   its pre-allocated slot, and *publishes* by advancing the
-//!   gapless-prefix watermark under a short ordering lock. Backend
-//!   bytes are *staged* in the slot and drained to the backend
-//!   strictly in LSN order by whichever thread next needs durability
-//!   — so byte order still equals LSN order, the invariant the crash
-//!   simulator's torn-write model depends on. Durability is a
-//!   watermark: committers call
-//!   [`wait_durable`](LogManager::wait_durable) and a leader performs
-//!   one drain + flush on behalf of every waiter at or below the
-//!   published LSN (group commit).
+//! One pipeline serves every caller. An append *reserves* its LSN with
+//! one atomic increment, encodes the record outside any lock, fills
+//! its pre-allocated slot, and *publishes* by advancing the
+//! gapless-prefix watermark under a short ordering lock. Backend bytes
+//! travel strictly in LSN order, by one of two routes: an appender
+//! that is next in line and finds the backend idle writes its bytes
+//! through at once; otherwise it *stages* them in its slot and the
+//! next flush leader drains them. Byte order therefore equals LSN
+//! order — the invariant the crash simulator's torn-write model
+//! depends on — and no append ever waits for a flush in flight.
+//! Durability is a watermark: committers call
+//! [`wait_durable`](LogManager::wait_durable) and a leader performs
+//! one drain + flush on behalf of every waiter at or below the
+//! published LSN (group commit).
 //!
 //! Retained records live in fixed-size chunks of once-written slots.
 //! Readers ([`read`](LogManager::read),
@@ -53,30 +48,6 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Append/flush discipline (see module docs).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WalMode {
-    /// One mutex over assign + encode + tee + publish; flush per call.
-    /// The exact reference path the crash simulator pins.
-    Serial,
-    /// Lock-split append with staged backend bytes and group-commit
-    /// durability via [`LogManager::wait_durable`].
-    Group,
-}
-
-impl WalMode {
-    /// Resolve the mode from `MORPH_WAL_MODE` (`"serial"` /
-    /// `"group"`), falling back to `default`. Lets CI force group
-    /// commit through code paths that default to the serial pin.
-    pub fn from_env(default: WalMode) -> WalMode {
-        match std::env::var("MORPH_WAL_MODE").ok().as_deref() {
-            Some("group") => WalMode::Group,
-            Some("serial") => WalMode::Serial,
-            _ => default,
-        }
-    }
-}
 
 /// Group-commit tuning: how long a flush leader holds the door open
 /// for more committers before paying the fsync.
@@ -115,8 +86,8 @@ const CHUNK_RECORDS: u64 = 256;
 #[derive(Default)]
 struct Slot {
     rec: Option<Arc<LogRecord>>,
-    /// Encoded bytes awaiting the backend drain (group mode with a
-    /// backend only).
+    /// Encoded bytes awaiting the backend drain (only when a backend is
+    /// attached and the append could not write through).
     staged: Option<Bytes>,
 }
 
@@ -173,9 +144,9 @@ impl ChunkList {
 
 struct BackendState {
     sink: Box<dyn Backend + Send>,
-    /// Highest LSN whose bytes the sink has received. In serial mode
-    /// the tee happens at append, so this tracks the published LSN;
-    /// in group mode it is the drain cursor.
+    /// Highest LSN whose bytes the sink has received. It may run ahead
+    /// of `published`: a write-through append sends its bytes before
+    /// its slot is filled.
     drained: u64,
 }
 
@@ -189,11 +160,9 @@ struct GroupState {
 
 /// Append-only, totally ordered log with tail readers.
 pub struct LogManager {
-    mode: WalMode,
     group_cfg: GroupCommitConfig,
     store: RwLock<ChunkList>,
-    /// Highest LSN handed out to an appender (group-mode reservation;
-    /// mirrors `published` in serial mode).
+    /// Highest LSN handed out to an appender.
     reserved: AtomicU64,
     /// Highest readable LSN: every slot at or below it is filled and
     /// immutable. Advanced only under `order`, gaplessly.
@@ -203,10 +172,8 @@ pub struct LogManager {
     /// Highest LSN a successful backend flush covers — the durability
     /// watermark group commit satisfies waiters against.
     durable: AtomicU64,
-    /// Watermark-ordering lock. Group mode holds it only to advance
-    /// `published` over consecutively filled slots; serial mode holds
-    /// it across the whole append (assign + encode + tee + publish),
-    /// reproducing the original single-mutex path exactly.
+    /// Watermark-ordering lock, held only to advance `published` over
+    /// consecutively filled slots.
     order: Mutex<()>,
     /// Serializes truncation (base advance + whole-chunk reclaim).
     trunc: Mutex<()>,
@@ -228,7 +195,6 @@ impl LogManager {
     fn build(
         records: Vec<LogRecord>,
         backend: Option<Box<dyn Backend + Send>>,
-        mode: WalMode,
         group_cfg: GroupCommitConfig,
     ) -> LogManager {
         let mut store = ChunkList::default();
@@ -246,7 +212,6 @@ impl LogManager {
             chunk.slot(lsn).lock().rec = Some(Arc::new(rec));
         }
         LogManager {
-            mode,
             group_cfg,
             store: RwLock::new(store),
             reserved: AtomicU64::new(n),
@@ -262,20 +227,9 @@ impl LogManager {
         }
     }
 
-    /// A purely in-memory log (mode from `MORPH_WAL_MODE`, default
-    /// serial).
+    /// A purely in-memory log.
     pub fn new() -> LogManager {
-        Self::build(
-            Vec::new(),
-            None,
-            WalMode::from_env(WalMode::Serial),
-            GroupCommitConfig::default(),
-        )
-    }
-
-    /// A purely in-memory log in an explicit mode.
-    pub fn new_in(mode: WalMode) -> LogManager {
-        Self::build(Vec::new(), None, mode, GroupCommitConfig::default())
+        Self::build(Vec::new(), None, GroupCommitConfig::default())
     }
 
     /// A log that also persists every record to `path` (length-prefixed
@@ -288,83 +242,69 @@ impl LogManager {
 
     /// A log that tees every record into an arbitrary [`Backend`] —
     /// the injection point for the crash-simulation harness's
-    /// fault-capable in-memory backend. Mode from `MORPH_WAL_MODE`,
-    /// default serial (the simulator's determinism pin).
+    /// fault-capable in-memory backend — with default group-commit
+    /// tuning.
     pub fn with_backend(backend: Box<dyn Backend + Send>) -> LogManager {
-        Self::with_backend_mode(
-            backend,
-            WalMode::from_env(WalMode::Serial),
-            GroupCommitConfig::default(),
-        )
+        Self::with_backend_config(backend, GroupCommitConfig::default())
     }
 
-    /// A backend-teeing log in an explicit mode with explicit
-    /// group-commit tuning.
-    pub fn with_backend_mode(
+    /// A backend-teeing log with explicit group-commit tuning.
+    pub fn with_backend_config(
         backend: Box<dyn Backend + Send>,
-        mode: WalMode,
         group_cfg: GroupCommitConfig,
     ) -> LogManager {
-        Self::build(Vec::new(), Some(backend), mode, group_cfg)
+        Self::build(Vec::new(), Some(backend), group_cfg)
     }
 
     /// Construct a manager pre-loaded with recovered records (restart
     /// recovery replays these before the database goes live).
     pub fn with_records(records: Vec<LogRecord>) -> LogManager {
-        Self::build(
-            records,
-            None,
-            WalMode::from_env(WalMode::Serial),
-            GroupCommitConfig::default(),
-        )
-    }
-
-    /// The append/flush discipline this manager runs.
-    pub fn mode(&self) -> WalMode {
-        self.mode
+        Self::build(records, None, GroupCommitConfig::default())
     }
 
     // --- append ---------------------------------------------------------
 
     /// Append one record, returning its LSN.
     pub fn append(&self, rec: LogRecord) -> Lsn {
-        match self.mode {
-            WalMode::Serial => self.append_serial(rec),
-            WalMode::Group => self.append_group(rec),
-        }
+        self.append_with(rec, |_| {})
     }
 
-    /// The reference path: one critical section covers LSN assignment,
-    /// encoding, the backend tee, and publication, so the backend's
-    /// byte order trivially matches LSN order.
-    fn append_serial(&self, rec: LogRecord) -> Lsn {
-        let _order = self.order.lock();
-        let lsn = self.published.load(Ordering::Relaxed) + 1; // morph-lint: allow(atomics, read under the order mutex that serializes every published-store; the lock is the fence)
-        if let Some(backend) = &self.backend {
-            let mut be = backend.lock();
-            be.sink.append(&codec::encode(&rec));
-            be.drained = lsn;
-        }
-        let chunk = self.ensure_chunk(lsn);
-        chunk.slot(lsn).lock().rec = Some(Arc::new(rec));
-        self.reserved.store(lsn, Ordering::Relaxed);
-        self.published.store(lsn, Ordering::Release);
-        Lsn(lsn)
-    }
-
-    /// The lock-split path: reserve, encode outside any lock, fill the
-    /// slot, then advance the publish watermark over the gapless
-    /// prefix of filled slots.
-    fn append_group(&self, rec: LogRecord) -> Lsn {
+    /// Append one record and run `reserved` with its LSN before the
+    /// record can be read: anything `reserved` stores happens-before
+    /// any reader (a tail cursor, a propagator) sees the record. The
+    /// engine stamps a transaction's end LSN this way, so a drain that
+    /// has consumed the end record always finds the stamp.
+    ///
+    /// The LSN is reserved with one atomic increment and the record is
+    /// encoded outside any lock. If this appender is next in line and
+    /// no flush holds the backend, its bytes go straight to the sink —
+    /// a single-threaded loader pays one uncontended lock per record.
+    /// Otherwise the bytes are staged in the slot for the next flush
+    /// leader to drain; the append never waits on a flush in flight.
+    pub fn append_with(&self, rec: LogRecord, reserved: impl FnOnce(Lsn)) -> Lsn {
         let lsn = self.reserved.fetch_add(1, Ordering::Relaxed) + 1;
-        let staged = self.backend.as_ref().map(|_| codec::encode(&rec));
+        reserved(Lsn(lsn));
+        let staged = self.backend.as_ref().and_then(|backend| {
+            let bytes = codec::encode(&rec);
+            match backend.try_lock() {
+                // Every earlier LSN has reached the sink and nobody is
+                // flushing: write through, keeping byte order ≡ LSN
+                // order.
+                Some(mut be) if be.drained + 1 == lsn => {
+                    be.sink.append(&bytes);
+                    be.drained = lsn;
+                    None
+                }
+                _ => Some(bytes),
+            }
+        });
         let chunk = self.ensure_chunk(lsn);
         {
             let mut slot = chunk.slot(lsn).lock();
             slot.rec = Some(Arc::new(rec));
             slot.staged = staged;
         }
-        self.publish_filled();
+        self.publish_filled(lsn, chunk);
         Lsn(lsn)
     }
 
@@ -373,22 +313,27 @@ impl LogManager {
     /// filler of any gapless prefix publishes the whole prefix: if the
     /// slot after the watermark is still empty, its (in-flight)
     /// appender is guaranteed to run this again after filling it.
-    fn publish_filled(&self) {
+    /// The caller's own slot (`own`, in chunk `filled`) is known to be
+    /// filled, so a lone appender checks no slot lock and looks up no
+    /// chunk.
+    fn publish_filled(&self, own: u64, filled: Arc<Chunk>) {
         let _order = self.order.lock();
         let mut p = self.published.load(Ordering::Relaxed); // morph-lint: allow(atomics, read under the order mutex that serializes every published-store; the lock is the fence)
         let reserved = self.reserved.load(Ordering::Relaxed);
-        let mut chunk: Option<Arc<Chunk>> = None;
+        let mut chunk = Some(filled);
         while p < reserved {
             let next = p + 1;
-            let cur = match &chunk {
-                Some(c) if next <= c.last() => c,
-                _ => match self.store.read().chunk_for(next) {
-                    Some(c) => &*chunk.insert(c),
-                    None => break,
-                },
-            };
-            if cur.slot(next).lock().rec.is_none() {
-                break;
+            if next != own {
+                let cur = match &chunk {
+                    Some(c) if (c.first..=c.last()).contains(&next) => c,
+                    _ => match self.store.read().chunk_for(next) {
+                        Some(c) => &*chunk.insert(c),
+                        None => break,
+                    },
+                };
+                if cur.slot(next).lock().rec.is_none() {
+                    break;
+                }
             }
             p = next;
         }
@@ -485,28 +430,9 @@ impl LogManager {
         let Some(backend) = &self.backend else {
             return Ok(());
         };
-        // Dirty-flag fast path: a previous flush already covers this
-        // LSN — no backend lock, no fsync.
-        if lsn.0 <= self.durable.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        match self.mode {
-            WalMode::Serial => {
-                let mut be = backend.lock();
-                if lsn.0 <= self.durable.load(Ordering::Acquire) {
-                    return Ok(());
-                }
-                self.flushes.fetch_add(1, Ordering::Relaxed);
-                be.sink.flush()?;
-                self.advance_durable(be.drained);
-                Ok(())
-            }
-            WalMode::Group => self.wait_durable_group(backend, lsn),
-        }
-    }
-
-    fn wait_durable_group(&self, backend: &Mutex<BackendState>, lsn: Lsn) -> DbResult<()> {
         loop {
+            // Dirty-flag fast path: a previous flush already covers
+            // this LSN — no lock, no fsync.
             if lsn.0 <= self.durable.load(Ordering::Acquire) {
                 return Ok(());
             }
@@ -658,13 +584,11 @@ impl LogManager {
         // archive stays complete and in LSN order. A failed drain
         // aborts the truncation with nothing reclaimed: dropping the
         // chunks anyway would tear a hole in the durable archive.
-        if self.mode == WalMode::Group {
-            if let Some(backend) = &self.backend {
-                let chunk_complete = (new_base / CHUNK_RECORDS) * CHUNK_RECORDS;
-                let mut be = backend.lock();
-                let upto = chunk_complete.min(published).max(be.drained);
-                self.drain_staged(&mut be, upto)?;
-            }
+        if let Some(backend) = &self.backend {
+            let chunk_complete = (new_base / CHUNK_RECORDS) * CHUNK_RECORDS;
+            let mut be = backend.lock();
+            let upto = chunk_complete.min(published).max(be.drained);
+            self.drain_staged(&mut be, upto)?;
         }
         self.base.store(new_base, Ordering::Release);
         let mut store = self.store.write();
@@ -858,31 +782,29 @@ mod tests {
 
     #[test]
     fn concurrent_appends_get_unique_lsns() {
-        for mode in [WalMode::Serial, WalMode::Group] {
-            use std::collections::HashSet;
-            let log = std::sync::Arc::new(LogManager::new_in(mode));
-            let mut handles = Vec::new();
-            for t in 0..8u64 {
-                let log = std::sync::Arc::clone(&log);
-                handles.push(std::thread::spawn(move || {
-                    let mut seen = Vec::new();
-                    for _ in 0..500 {
-                        seen.push(log.append(begin(t)));
-                    }
-                    seen
-                }));
-            }
-            let mut all = HashSet::new();
-            for h in handles {
-                for lsn in h.join().unwrap() {
-                    assert!(all.insert(lsn), "duplicate LSN {lsn:?} ({mode:?})");
+        use std::collections::HashSet;
+        let log = std::sync::Arc::new(LogManager::new());
+        let mut handles = Vec::new();
+        for t in 0..8u64 {
+            let log = std::sync::Arc::clone(&log);
+            handles.push(std::thread::spawn(move || {
+                let mut seen = Vec::new();
+                for _ in 0..500 {
+                    seen.push(log.append(begin(t)));
                 }
-            }
-            assert_eq!(all.len(), 4000);
-            assert_eq!(log.last_lsn(), Lsn(4000));
-            // The publish watermark left no gaps behind.
-            assert_eq!(log.read_range(Lsn(1), 5000).len(), 4000);
+                seen
+            }));
         }
+        let mut all = HashSet::new();
+        for h in handles {
+            for lsn in h.join().unwrap() {
+                assert!(all.insert(lsn), "duplicate LSN {lsn:?}");
+            }
+        }
+        assert_eq!(all.len(), 4000);
+        assert_eq!(log.last_lsn(), Lsn(4000));
+        // The publish watermark left no gaps behind.
+        assert_eq!(log.read_range(Lsn(1), 5000).len(), 4000);
     }
 
     #[test]
@@ -943,113 +865,78 @@ mod tests {
 
     #[test]
     fn truncation_across_chunk_boundaries() {
-        for mode in [WalMode::Serial, WalMode::Group] {
-            let log = LogManager::new_in(mode);
-            let n = CHUNK_RECORDS * 3 + 17;
-            for i in 0..n {
-                log.append(begin(i));
-            }
-            // Partial-chunk truncation: logical base moves, reads obey it.
-            let cut = CHUNK_RECORDS + 9;
-            assert_eq!(log.truncate_until(Lsn(cut)).unwrap(), (cut - 1) as usize);
-            assert!(log.read(Lsn(cut - 1)).is_none());
-            assert_eq!(*log.read(Lsn(cut)).unwrap(), begin(cut - 1));
-            assert_eq!(log.len(), (n - cut + 1) as usize);
-            // Whole-log truncation then continued appends.
-            assert_eq!(
-                log.truncate_until(Lsn(n + 1)).unwrap(),
-                (n - cut + 1) as usize
-            );
-            assert!(log.is_empty());
-            assert_eq!(log.append(begin(1000)), Lsn(n + 1));
-            assert_eq!(*log.read(Lsn(n + 1)).unwrap(), begin(1000));
-            assert_eq!(log.read_range(Lsn(1), 10)[0].0, Lsn(n + 1));
+        let log = LogManager::new();
+        let n = CHUNK_RECORDS * 3 + 17;
+        for i in 0..n {
+            log.append(begin(i));
         }
+        // Partial-chunk truncation: logical base moves, reads obey it.
+        let cut = CHUNK_RECORDS + 9;
+        assert_eq!(log.truncate_until(Lsn(cut)).unwrap(), (cut - 1) as usize);
+        assert!(log.read(Lsn(cut - 1)).is_none());
+        assert_eq!(*log.read(Lsn(cut)).unwrap(), begin(cut - 1));
+        assert_eq!(log.len(), (n - cut + 1) as usize);
+        // Whole-log truncation then continued appends.
+        assert_eq!(
+            log.truncate_until(Lsn(n + 1)).unwrap(),
+            (n - cut + 1) as usize
+        );
+        assert!(log.is_empty());
+        assert_eq!(log.append(begin(1000)), Lsn(n + 1));
+        assert_eq!(*log.read(Lsn(n + 1)).unwrap(), begin(1000));
+        assert_eq!(log.read_range(Lsn(1), 10)[0].0, Lsn(n + 1));
+    }
+
+    fn faulty_log(seed: u64) -> (LogManager, crate::fault::FaultHandle) {
+        let (backend, handle) = FaultBackend::new(FaultConfig::crash_only(seed));
+        (LogManager::with_backend(Box::new(backend)), handle)
+    }
+
+    /// Append `n` records while the backend lock is held, as it is
+    /// during a flush: every append must stage its bytes.
+    fn append_staged(log: &LogManager, n: u64) -> Lsn {
+        let _flushing = log.backend.as_ref().unwrap().lock();
+        let mut last = Lsn::ZERO;
+        for i in 0..n {
+            last = log.append(begin(i));
+        }
+        last
     }
 
     #[test]
-    fn group_mode_stages_bytes_until_flush() {
-        let (backend, handle) = FaultBackend::new(FaultConfig::crash_only(3));
-        let log = LogManager::with_backend_mode(
-            Box::new(backend),
-            WalMode::Group,
-            GroupCommitConfig::default(),
-        );
-        let mut last = Lsn::ZERO;
-        for i in 0..5 {
-            last = log.append(begin(i));
-        }
-        // Nothing drained yet: appends are staged in the slots.
-        assert_eq!(handle.buffered_len(), 0);
+    fn appends_write_through_when_idle_and_stage_behind_a_flush() {
+        let (log, handle) = faulty_log(3);
+        log.append(begin(0));
+        // Next in line with an idle backend: the bytes are already in
+        // the sink's buffer, though not durable.
+        let written = handle.buffered_len();
+        assert!(written > 0);
         assert_eq!(log.durable_lsn(), Lsn::ZERO);
+        // Behind a (simulated) flush in flight the bytes are staged in
+        // the slots, and the append after it must stage too: an
+        // earlier LSN has not reached the sink yet.
+        append_staged(&log, 3);
+        let last = log.append(begin(4));
+        assert_eq!(handle.buffered_len(), written);
         log.wait_durable(last).unwrap();
         assert_eq!(log.durable_lsn(), last);
         assert_eq!(log.flush_count(), 1);
-        // One more durable wait is a no-op (dirty fast path).
+        // Nothing appended since: no backend flush (dirty fast path).
         log.wait_durable(last).unwrap();
         log.flush().unwrap();
         assert_eq!(log.flush_count(), 1);
-        let recs = handle.durable_records().unwrap();
-        assert_eq!(recs.len(), 5);
-        assert_eq!(recs[4], begin(4));
-    }
-
-    #[test]
-    fn serial_flush_fast_path_skips_fsync() {
-        let (backend, handle) = FaultBackend::new(FaultConfig::crash_only(3));
-        let log = LogManager::with_backend(Box::new(backend));
-        assert_eq!(log.mode(), WalMode::Serial);
-        log.append(begin(1));
-        log.flush().unwrap();
-        assert_eq!(log.flush_count(), 1);
-        // No bytes since the last flush: no backend flush happens.
-        log.flush().unwrap();
-        log.flush().unwrap();
-        assert_eq!(log.flush_count(), 1);
         assert_eq!(handle.counts().1, 1);
-        log.append(begin(2));
+        log.append(begin(5));
         log.flush().unwrap();
         assert_eq!(log.flush_count(), 2);
-    }
-
-    #[test]
-    fn group_commit_single_flush_covers_many_waiters() {
-        // 8 committers each append then wait_durable; with the flush
-        // serialized behind a leader, the backend flush count must be
-        // well below the commit count is not guaranteed determinis-
-        // tically, but every waiter must come back durable.
-        let (backend, handle) = FaultBackend::new(FaultConfig::crash_only(7));
-        let log = Arc::new(LogManager::with_backend_mode(
-            Box::new(backend),
-            WalMode::Group,
-            GroupCommitConfig::default(),
-        ));
-        let mut handles = Vec::new();
-        for t in 0..8u64 {
-            let log = Arc::clone(&log);
-            handles.push(std::thread::spawn(move || {
-                let mut acked = Lsn::ZERO;
-                for i in 0..50 {
-                    let lsn = log.append(begin(t * 1000 + i));
-                    log.wait_durable(lsn).unwrap();
-                    assert!(log.durable_lsn() >= lsn);
-                    acked = lsn;
-                }
-                acked
-            }));
-        }
-        let mut max_acked = Lsn::ZERO;
-        for h in handles {
-            max_acked = max_acked.max(h.join().unwrap());
-        }
-        assert!(log.durable_lsn() >= max_acked);
         let recs = handle.durable_records().unwrap();
-        assert_eq!(recs.len(), 400);
+        let expect = [0, 0, 1, 2, 4, 5].map(begin);
+        assert_eq!(recs, expect, "byte order == LSN order");
     }
 
     #[test]
     fn wait_durable_without_backend_is_noop() {
-        let log = LogManager::new_in(WalMode::Group);
+        let log = LogManager::new();
         let lsn = log.append(begin(1));
         log.wait_durable(lsn).unwrap();
         log.flush().unwrap();
@@ -1057,17 +944,11 @@ mod tests {
     }
 
     #[test]
-    fn group_truncation_drains_reclaimed_chunks_to_backend() {
-        let (backend, handle) = FaultBackend::new(FaultConfig::crash_only(5));
-        let log = LogManager::with_backend_mode(
-            Box::new(backend),
-            WalMode::Group,
-            GroupCommitConfig::default(),
-        );
+    fn truncation_drains_reclaimed_chunks_to_backend() {
+        let (log, handle) = faulty_log(5);
         let n = CHUNK_RECORDS * 2 + 3;
-        for i in 0..n {
-            log.append(begin(i));
-        }
+        append_staged(&log, n);
+        assert_eq!(handle.buffered_len(), 0);
         // Truncate past the first two chunks without ever flushing:
         // their staged bytes must reach the backend buffer anyway.
         log.truncate_until(Lsn(n + 1)).unwrap();
@@ -1089,16 +970,8 @@ mod tests {
     /// for every later committer.
     #[test]
     fn corrupted_staged_slot_errors_instead_of_panicking() {
-        let (backend, handle) = FaultBackend::new(FaultConfig::crash_only(9));
-        let log = LogManager::with_backend_mode(
-            Box::new(backend),
-            WalMode::Group,
-            GroupCommitConfig::default(),
-        );
-        let mut last = Lsn::ZERO;
-        for i in 0..3 {
-            last = log.append(begin(i));
-        }
+        let (log, handle) = faulty_log(9);
+        let last = append_staged(&log, 3);
         assert!(log.steal_staged_for_test(Lsn(2)).is_some());
         let Err(err) = log.wait_durable(last) else {
             panic!("drain over a corrupted slot must fail")

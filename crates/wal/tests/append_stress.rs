@@ -1,7 +1,7 @@
-//! Multi-threaded append/crash stress for the lock-split WAL (the
-//! issue's satellite: N appender threads over a seeded `FaultBackend`,
-//! a crash at a seeded-random byte offset, and two invariants on the
-//! surviving image):
+//! Multi-threaded append/crash stress for the lock-split WAL (N
+//! appender threads over a seeded `FaultBackend`, a crash at a
+//! seeded-random byte offset, and two invariants on the surviving
+//! image):
 //!
 //! 1. **byte order == LSN order** — the durable prefix decodes to the
 //!    records of `Lsn(1)..=k` in exactly that order, with no gap and
@@ -13,12 +13,16 @@
 //! The `TxnId` payload of each record encodes (thread, sequence), so
 //! the decoded prefix identifies exactly which append each durable
 //! record came from.
+//!
+//! A last test pins the structural property the pipeline exists for:
+//! appends never wait for a flush in flight.
 
-use morph_common::{Lsn, TxnId};
-use morph_wal::{FaultBackend, FaultConfig, GroupCommitConfig, LogManager, LogRecord, WalMode};
+use morph_common::{DbResult, Lsn, TxnId};
+use morph_wal::{Backend, FaultBackend, FaultConfig, GroupCommitConfig, LogManager, LogRecord};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -31,9 +35,9 @@ fn payload(thread: u64, seq: u64) -> TxnId {
 
 /// Run the stress universe, returning nothing: all invariants are
 /// asserted inside.
-fn stress(mode: WalMode, gc: GroupCommitConfig, seed: u64) {
+fn stress(gc: GroupCommitConfig, seed: u64) {
     let (backend, handle) = FaultBackend::new(FaultConfig::crash_only(seed));
-    let log = Arc::new(LogManager::with_backend_mode(Box::new(backend), mode, gc));
+    let log = Arc::new(LogManager::with_backend_config(Box::new(backend), gc));
 
     // lsn -> payload, recorded by whichever thread won that LSN.
     let by_lsn: Arc<Mutex<BTreeMap<u64, TxnId>>> = Arc::new(Mutex::new(BTreeMap::new()));
@@ -78,7 +82,7 @@ fn stress(mode: WalMode, gc: GroupCommitConfig, seed: u64) {
     let acked = max_acked.load(Ordering::Relaxed);
     assert!(
         k >= acked,
-        "wait_durable acked {acked} but only {k} records survived (mode {mode:?}, seed {seed})"
+        "wait_durable acked {acked} but only {k} records survived (seed {seed})"
     );
 
     // Invariant 1: the survivors are exactly Lsn(1)..=k, in order.
@@ -89,7 +93,7 @@ fn stress(mode: WalMode, gc: GroupCommitConfig, seed: u64) {
             LogRecord::Begin { txn } => assert_eq!(
                 *txn, want,
                 "byte position {i} holds the wrong record for {lsn} \
-                 (mode {mode:?}, seed {seed}): byte order != LSN order"
+                 (seed {seed}): byte order != LSN order"
             ),
             other => panic!("unexpected record {other:?} at byte position {i}"),
         }
@@ -97,21 +101,14 @@ fn stress(mode: WalMode, gc: GroupCommitConfig, seed: u64) {
 }
 
 #[test]
-fn serial_mode_survives_concurrent_appends_and_torn_crash() {
+fn concurrent_appends_survive_torn_crash() {
     for seed in [1, 42, 777] {
-        stress(WalMode::Serial, GroupCommitConfig::default(), seed);
+        stress(GroupCommitConfig::default(), seed);
     }
 }
 
 #[test]
-fn group_mode_survives_concurrent_appends_and_torn_crash() {
-    for seed in [1, 42, 777] {
-        stress(WalMode::Group, GroupCommitConfig::default(), seed);
-    }
-}
-
-#[test]
-fn group_mode_with_delay_window_survives() {
+fn delay_window_survives_concurrent_appends_and_torn_crash() {
     // A real batching window: leaders linger up to 200µs for
     // stragglers, so flushes genuinely cover multiple committers.
     let gc = GroupCommitConfig {
@@ -119,20 +116,19 @@ fn group_mode_with_delay_window_survives() {
         max_delay: Duration::from_micros(200),
     };
     for seed in [7, 99] {
-        stress(WalMode::Group, gc, seed);
+        stress(gc, seed);
     }
 }
 
 #[test]
-fn group_mode_flushes_far_fewer_times_than_commits() {
+fn group_commit_flushes_far_fewer_times_than_commits() {
     // The group-commit economy argument, measured: 4 committers × 200
     // commits each, every commit waiting for durability. The flush
     // counter must come in well under the commit count (leaders absorb
-    // followers); serial mode by construction flushes once per commit.
+    // followers), where a flush per commit would equal it.
     let (backend, _handle) = FaultBackend::new(FaultConfig::crash_only(5));
-    let log = Arc::new(LogManager::with_backend_mode(
+    let log = Arc::new(LogManager::with_backend_config(
         Box::new(backend),
-        WalMode::Group,
         GroupCommitConfig {
             max_batch: 16,
             max_delay: Duration::from_micros(100),
@@ -157,4 +153,73 @@ fn group_mode_flushes_far_fewer_times_than_commits() {
         flushes < commits / 2,
         "group commit did not batch: {flushes} flushes for {commits} commits"
     );
+}
+
+/// A disk whose first flush reports that it has parked, then waits for
+/// the test to let it go.
+struct GatedDisk {
+    inner: FaultBackend,
+    gate: Option<(Sender<()>, Receiver<()>)>,
+}
+
+impl Backend for GatedDisk {
+    fn append(&mut self, encoded: &[u8]) {
+        self.inner.append(encoded);
+    }
+
+    fn flush(&mut self) -> DbResult<()> {
+        if let Some((parked, open)) = self.gate.take() {
+            parked.send(()).ok();
+            open.recv().ok();
+        }
+        self.inner.flush()
+    }
+}
+
+#[test]
+fn appends_return_and_publish_while_a_flush_is_parked() {
+    // One committer's flush parks inside the backend (holding
+    // whatever the WAL holds across a flush). Another thread's appends
+    // must still return and become readable: an append that shared a
+    // lock with the flush would block here until the gate opens.
+    let (inner, handle) = FaultBackend::new(FaultConfig::crash_only(3));
+    let (parked_tx, parked) = channel();
+    let (open, open_rx) = channel();
+    let log = Arc::new(LogManager::with_backend(Box::new(GatedDisk {
+        inner,
+        gate: Some((parked_tx, open_rx)),
+    })));
+    let first = log.append(LogRecord::Begin { txn: payload(0, 0) });
+    let committer = {
+        let log = Arc::clone(&log);
+        std::thread::spawn(move || log.wait_durable(first))
+    };
+    parked.recv().unwrap();
+
+    let (tx, rx) = channel();
+    let appender = {
+        let log = Arc::clone(&log);
+        std::thread::spawn(move || {
+            for i in 0..100 {
+                tx.send(log.append(LogRecord::Begin { txn: payload(1, i) }))
+                    .unwrap();
+            }
+        })
+    };
+    // A deadlock guard, not a measurement: appends either return while
+    // the flush is parked or never do.
+    let lsns: Vec<Lsn> = (0..100)
+        .map(|_| rx.recv_timeout(Duration::from_secs(30)))
+        .collect::<Result<_, _>>()
+        .expect("appends blocked behind a parked flush");
+    assert_eq!(lsns.last(), Some(&Lsn(101)));
+    assert_eq!(log.last_lsn(), Lsn(101), "appends were not published");
+    assert!(log.read(Lsn(101)).is_some());
+    assert_eq!(log.durable_lsn(), Lsn::ZERO, "the flush is still parked");
+
+    open.send(()).unwrap();
+    committer.join().unwrap().unwrap();
+    appender.join().unwrap();
+    log.flush().unwrap();
+    assert_eq!(handle.durable_records().unwrap().len(), 101);
 }

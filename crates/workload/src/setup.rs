@@ -7,20 +7,15 @@
 use morph_common::{ColumnType, DbResult, Schema, Value};
 use morph_engine::Database;
 use morph_txn::LockManagerConfig;
-use morph_wal::{Backend, GroupCommitConfig, LogManager, WalMode};
+use morph_wal::{Backend, GroupCommitConfig, LogManager};
 use std::sync::Arc;
 
-/// Fresh database whose WAL tees into `backend` under the given
-/// append/flush discipline. The commit-rate benches build their
-/// fsync-bound universes through this: a synthetic slow disk plus
-/// either the serial (flush-per-commit) or the group-commit pipeline.
-pub fn db_with_wal(
-    backend: Box<dyn Backend + Send>,
-    mode: WalMode,
-    group: GroupCommitConfig,
-) -> Arc<Database> {
+/// Fresh database whose WAL tees into `backend` with the given
+/// group-commit tuning. The commit-rate benches build their
+/// fsync-bound universes through this on a synthetic slow disk.
+pub fn db_with_wal(backend: Box<dyn Backend + Send>, group: GroupCommitConfig) -> Arc<Database> {
     Arc::new(Database::with_log(
-        Arc::new(LogManager::with_backend_mode(backend, mode, group)),
+        Arc::new(LogManager::with_backend_config(backend, group)),
         LockManagerConfig::default(),
     ))
 }

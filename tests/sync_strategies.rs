@@ -2,9 +2,16 @@
 //! from the client side, plus the Figure-2 lock behaviour of the
 //! non-blocking commit strategy.
 
-use morphdb::core::{FojSpec, SyncStrategy, TransformOptions, Transformer};
-use morphdb::{ColumnType, Database, DbError, Key, Schema, Value};
+use morphdb::core::{
+    FojSpec, SyncStrategy, TransformJob, TransformOptions, TransformPlan, Transformer,
+};
+use morphdb::txn::LockManagerConfig;
+use morphdb::wal::{Backend, LogManager};
+use morphdb::{ColumnType, Database, DbError, DbResult, Key, Schema, Value};
+use parking_lot::Mutex;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -285,4 +292,104 @@ fn blocking_commit_blocks_then_switches() {
         .any(|(_, row)| row.values[1] == Value::str("held")));
     assert_eq!(report.sync.strategy, SyncStrategy::BlockingCommit);
     assert!(!db.catalog().exists("R"));
+}
+
+/// Gate of a [`GatedDisk`]: once armed, the next flush reports that
+/// it has parked and waits for the test to let it go.
+type FlushGate = Arc<Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>>;
+
+/// An always-successful disk whose flushes can be held at a gate.
+struct GatedDisk(FlushGate);
+
+impl Backend for GatedDisk {
+    fn append(&mut self, _encoded: &[u8]) {}
+
+    fn flush(&mut self) -> DbResult<()> {
+        let gate = self.0.lock().take();
+        if let Some((parked, open)) = gate {
+            parked.send(()).ok();
+            open.recv().ok();
+        }
+        Ok(())
+    }
+}
+
+/// Regression test for the grandfathered-commit stall. A committer has
+/// appended its Commit record and is parked on the fsync: still
+/// registered, still holding its source lock. The latched final drain
+/// consumes that Commit record. The non-blocking strategies must not
+/// grandfather the transaction then — the post-sync drain retires a
+/// grandfathered transaction only when it reads its end record, which
+/// is already behind the cursor, so `finish` would wait out the
+/// deadline.
+#[test]
+fn committer_parked_on_fsync_at_sync_is_not_grandfathered() {
+    for strategy in [
+        SyncStrategy::NonBlockingAbort,
+        SyncStrategy::NonBlockingCommit,
+    ] {
+        let gate = FlushGate::default();
+        let db = Arc::new(Database::with_log(
+            Arc::new(LogManager::with_backend(Box::new(GatedDisk(Arc::clone(
+                &gate,
+            ))))),
+            LockManagerConfig::default(),
+        ));
+        sources(&db, 100);
+        let plan = TransformPlan::Foj(FojSpec::new("R", "S", "T", "c", "c"));
+        let options = opts(strategy)
+            .deadline(Duration::from_secs(5))
+            .retain_sources();
+        let mut job = TransformJob::prepare(&db, &plan, options).unwrap();
+        let abort = AtomicBool::new(false);
+        job.copy().unwrap();
+        job.propagate(&abort, None).unwrap();
+
+        let (parked_tx, parked) = mpsc::channel();
+        let (open, open_rx) = mpsc::channel();
+        *gate.lock() = Some((parked_tx, open_rx));
+        let txn = db.begin();
+        db.update(txn, "R", &Key::single(5), &[(1, Value::str("parked"))])
+            .unwrap();
+        let committer = {
+            let db = Arc::clone(&db);
+            std::thread::spawn(move || db.commit(txn))
+        };
+        parked.recv().unwrap();
+        assert!(
+            db.is_active(txn),
+            "the committer parks before it deregisters"
+        );
+
+        job.synchronize().unwrap();
+        let report = job
+            .finish(&abort)
+            .unwrap_or_else(|e| panic!("{strategy:?}: finish failed: {e}"));
+        assert_eq!(report.sync.old_txns, 0, "{strategy:?}");
+        open.send(()).unwrap();
+        committer.join().unwrap().unwrap();
+
+        // T is the full outer join of the retained sources (every R
+        // row has an S partner), the parked update included.
+        let rows = |name: &str| -> Vec<Vec<Value>> {
+            let t = db.catalog().get(name).unwrap();
+            t.snapshot().into_iter().map(|(_, r)| r.values).collect()
+        };
+        let d_of: BTreeMap<Value, Value> = rows("S")
+            .into_iter()
+            .map(|s| (s[0].clone(), s[1].clone()))
+            .collect();
+        let mut expect: Vec<Vec<Value>> = rows("R")
+            .into_iter()
+            .map(|mut r| {
+                r.push(d_of[&r[2]].clone());
+                r
+            })
+            .collect();
+        let mut got = rows("T");
+        expect.sort();
+        got.sort();
+        assert_eq!(got, expect, "{strategy:?}");
+        assert!(got.iter().any(|r| r[1] == Value::str("parked")));
+    }
 }
